@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "serve/match_service.h"
-#include "shard/sharded_pipeline.h"
 #include "stream/incremental_pipeline.h"
 #include "text/similarity.h"
 #include "text/vocab.h"
@@ -236,35 +235,6 @@ void BM_FullRecompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRecompute)->Arg(4)->Arg(16)->ArgName("batches")
-    ->Unit(benchmark::kMillisecond);
-
-// BM_ShardedIngest runs the BM_IncrementalIngest schedule (same fixture,
-// same config, fixed 16 batches) through a ShardedPipeline at S shards:
-// the shards:1 row vs BM_IncrementalIngest/batches:16 is the cost of the
-// exchange/merge layer, and shards:{2,4} vs shards:1 is the partitioning
-// behaviour. Same-artifact comparisons only, like every row here.
-void BM_ShardedIngest(benchmark::State& state) {
-  const size_t num_shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kBatches = 16;
-  const std::vector<Record>& records = IncrementalBenchRecords();
-  const size_t batch_size = (records.size() + kBatches - 1) / kBatches;
-  ShardedPipelineConfig config;
-  config.base = IncrementalBenchConfig();
-  config.num_shards = num_shards;
-  HeuristicIdMatcher matcher;
-  for (auto _ : state) {
-    ShardedPipeline pipeline(config);
-    for (size_t offset = 0; offset < records.size(); offset += batch_size) {
-      const size_t end = std::min(offset + batch_size, records.size());
-      std::vector<Record> batch(records.begin() + static_cast<long>(offset),
-                                records.begin() + static_cast<long>(end));
-      pipeline.Ingest(batch, matcher).ValueOrDie();
-      PipelineResult result = pipeline.Snapshot().ValueOrDie();
-      benchmark::DoNotOptimize(result);
-    }
-  }
-}
-BENCHMARK(BM_ShardedIngest)->Arg(1)->Arg(2)->Arg(4)->ArgName("shards")
     ->Unit(benchmark::kMillisecond);
 
 // BM_CrudChurn measures steady-state corrections on a fully-ingested

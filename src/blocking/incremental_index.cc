@@ -135,14 +135,6 @@ std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
   return kept;
 }
 
-std::vector<std::string> IncrementalTokenOverlapIndex::ExtractKeys(
-    const Record& record) {
-  auto toks = TokenizeContentWords(record.AllText());
-  std::sort(toks.begin(), toks.end());
-  toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
-  return toks;
-}
-
 CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
     const RecordTable& records, ThreadPool* pool) {
   const size_t old_n = num_records_;
@@ -155,20 +147,13 @@ CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
   ParallelFor(
       pool, 0, new_tokens.size(),
       [&](size_t k) {
-        new_tokens[k] =
-            ExtractKeys(records.at(static_cast<RecordId>(old_n + k)));
+        auto& toks = new_tokens[k];
+        toks = TokenizeContentWords(
+            records.at(static_cast<RecordId>(old_n + k)).AllText());
+        std::sort(toks.begin(), toks.end());
+        toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
       },
       /*grain=*/32);
-  return AddPublishedRecords(records, std::move(new_tokens), pool);
-}
-
-CandidateDelta IncrementalTokenOverlapIndex::AddPublishedRecords(
-    const RecordTable& records, std::vector<std::vector<std::string>> published,
-    ThreadPool* pool) {
-  const size_t old_n = num_records_;
-  const size_t new_n = records.size();
-  if (new_n <= old_n) return {};
-  std::vector<std::vector<std::string>>& new_tokens = published;
 
   // Intern tokens and update document frequencies / postings in place,
   // remembering each touched token's pre-batch df.
@@ -299,7 +284,7 @@ CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
   // Dirty records: live holders of any token whose postings or eligibility
   // changed. The cap falls with the live count, so untouched tokens with df
   // in (new cap, old cap] drop *out* of eligibility — the mirror image of
-  // the rising-cap re-admission scan in AddPublishedRecords.
+  // the rising-cap re-admission scan in AddRecords.
   std::vector<char> dirty(num_records_, 0);
   auto mark_holders = [&](int32_t tid) {
     for (RecordId r : tokens_[static_cast<size_t>(tid)].postings) {
@@ -507,35 +492,23 @@ std::vector<RecordPair> BucketPairs(const RecordTable& records,
   return out;
 }
 
-}  // namespace
-
-std::vector<std::string> IncrementalIdOverlapIndex::ExtractKeys(
-    const Record& record) {
-  std::vector<std::string> keys;
+/// A record's identifier values, in attribute order with repeats preserved
+/// (a record carrying one value under several attributes holds that
+/// bucket once per attribute).
+std::vector<std::string> IdentifierValues(const Record& record) {
+  std::vector<std::string> values;
   for (const auto& attr : IdentifierAttributes()) {
     for (auto& value : record.GetMulti(attr)) {
-      keys.push_back(std::move(value));
+      values.push_back(std::move(value));
     }
   }
-  return keys;
+  return values;
 }
+
+}  // namespace
 
 CandidateDelta IncrementalIdOverlapIndex::AddRecords(const RecordTable& records,
                                                      ThreadPool* pool) {
-  const size_t old_n = num_records_;
-  const size_t new_n = records.size();
-  if (new_n <= old_n) return {};
-  std::vector<std::vector<std::string>> published;
-  published.reserve(new_n - old_n);
-  for (size_t r = old_n; r < new_n; ++r) {
-    published.push_back(ExtractKeys(records.at(static_cast<RecordId>(r))));
-  }
-  return AddPublishedRecords(records, published, pool);
-}
-
-CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
-    const RecordTable& records,
-    const std::vector<std::vector<std::string>>& published, ThreadPool* pool) {
   const size_t old_n = num_records_;
   const size_t new_n = records.size();
   if (new_n <= old_n) return {};
@@ -545,7 +518,8 @@ CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
   // pointers key the touched set safely.
   std::unordered_map<const std::vector<RecordId>*, size_t> touched;
   for (size_t r = old_n; r < new_n; ++r) {
-    for (const auto& value : published[r - old_n]) {
+    for (const auto& value :
+         IdentifierValues(records.at(static_cast<RecordId>(r)))) {
       std::vector<RecordId>& holders = index_[value];
       touched.emplace(&holders, holders.size());
       holders.push_back(static_cast<RecordId>(r));
@@ -611,7 +585,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
   std::vector<BucketDiff> diffs;
   std::unordered_map<const std::vector<RecordId>*, size_t> touched;
   for (RecordId r : removed_ids) {
-    for (const auto& value : ExtractKeys(records.at(r))) {
+    for (const auto& value : IdentifierValues(records.at(r))) {
       auto it = index_.find(value);
       if (it == index_.end()) continue;
       std::vector<RecordId>& holders = it->second;

@@ -3,8 +3,8 @@
 
 /// \file score_batching.h
 /// The one chunked batched-scoring routine every pipeline scoring site
-/// (EntityGroupPipeline::Run, IncrementalPipeline ingest, ShardedPipeline)
-/// goes through, so batching policy lives in one place. See
+/// (EntityGroupPipeline::Run, IncrementalPipeline mutations) goes through,
+/// so batching policy lives in one place. See
 /// docs/matchers.md "Batched inference".
 
 #include <cstddef>

@@ -231,9 +231,6 @@ PipelineMetrics PipelineMetrics::Create(MetricsRegistry* registry) {
       registry->GetHistogram("pipeline_blocking_seconds");
   metrics.scoring_seconds = registry->GetHistogram("pipeline_scoring_seconds");
   metrics.cleanup_seconds = registry->GetHistogram("pipeline_cleanup_seconds");
-  metrics.route_seconds = registry->GetHistogram("shard_route_seconds");
-  metrics.exchange_seconds = registry->GetHistogram("shard_exchange_seconds");
-  metrics.merge_seconds = registry->GetHistogram("shard_merge_seconds");
   metrics.mutations = registry->GetCounter("pipeline_mutations_total");
   metrics.records_added = registry->GetCounter("pipeline_records_added_total");
   metrics.records_removed =
@@ -256,10 +253,6 @@ ServeMetrics ServeMetrics::Create(MetricsRegistry* registry) {
   ServeMetrics metrics;
   if (registry == nullptr) return metrics;
   metrics.publish_seconds = registry->GetHistogram("serve_publish_seconds");
-  metrics.checkpoint_save_seconds =
-      registry->GetHistogram("checkpoint_save_seconds");
-  metrics.checkpoint_load_seconds =
-      registry->GetHistogram("checkpoint_load_seconds");
   metrics.epochs_published =
       registry->GetCounter("serve_epochs_published_total");
   metrics.current_epoch = registry->GetGauge("serve_current_epoch");

@@ -207,7 +207,7 @@ std::string DumpMetricsText(const MetricsRegistry& registry);
 /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,p50,...}}}.
 std::string DumpMetricsJson(const MetricsRegistry& registry);
 
-/// \brief Pipeline-phase instruments (core/stream/shard). `Create`
+/// \brief Pipeline-phase instruments (core/stream). `Create`
 /// resolves every name once; all members stay null when `registry` is
 /// null, which is what makes `PipelineConfig::metrics = nullptr` free.
 struct PipelineMetrics {
@@ -216,9 +216,6 @@ struct PipelineMetrics {
   Histogram* blocking_seconds = nullptr;   ///< incremental index delta apply
   Histogram* scoring_seconds = nullptr;    ///< batched matcher inference
   Histogram* cleanup_seconds = nullptr;    ///< dirty-component graph cleanup
-  Histogram* route_seconds = nullptr;      ///< shard routing of a mutation
-  Histogram* exchange_seconds = nullptr;   ///< global candidate exchange
-  Histogram* merge_seconds = nullptr;      ///< cross-shard component merge
   Counter* mutations = nullptr;            ///< ingest/remove/update batches
   Counter* records_added = nullptr;
   Counter* records_removed = nullptr;
@@ -231,13 +228,12 @@ struct PipelineMetrics {
   Counter* cascade_escalated = nullptr;
 };
 
-/// \brief Serving-layer instruments (MatchService + checkpoints).
+/// \brief Serving-layer instruments (MatchService). Checkpoints are timed
+/// at their call sites: the checkpoint code is obs-free by lint rule.
 struct ServeMetrics {
   static ServeMetrics Create(MetricsRegistry* registry);
 
   Histogram* publish_seconds = nullptr;
-  Histogram* checkpoint_save_seconds = nullptr;
-  Histogram* checkpoint_load_seconds = nullptr;
   Counter* epochs_published = nullptr;
   Gauge* current_epoch = nullptr;
   Gauge* serving_records = nullptr;

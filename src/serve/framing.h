@@ -2,13 +2,12 @@
 #define GRALMATCH_SERVE_FRAMING_H_
 
 /// \file framing.h
-/// Shared framing primitives for the durable checkpoint formats — the
-/// single-file pipeline checkpoint (checkpoint.h) and the sharded
-/// manifest + per-shard-file checkpoint (sharded_checkpoint.h) frame their
-/// images the same way (8-byte magic, u32 version, length-prefixed body,
-/// trailing whole-image FNV-1a 64 checksum) and persist them with the same
-/// atomic temp-file + rename discipline. One implementation here keeps the
-/// two durability paths from drifting.
+/// Shared framing primitives: the pipeline checkpoint (checkpoint.h) and
+/// the RPC wire format (net/wire.h) frame their bytes the same way (8-byte
+/// magic, u32 version, length-prefixed body, trailing whole-image FNV-1a 64
+/// checksum), and checkpoints persist through the atomic temp-file + rename
+/// discipline below. One implementation here keeps the byte disciplines
+/// from drifting.
 
 #include <cstdint>
 #include <string>

@@ -40,6 +40,9 @@ Status ReadRecordPairs(BinaryReader* reader, size_t num_records,
   return Status::OK();
 }
 
+namespace {
+
+/// Read a node-id vector whose entries must lie in [0, num_records).
 Status ReadNodeIdVector(BinaryReader* reader, size_t num_records,
                         std::vector<NodeId>* nodes) {
   uint64_t count = 0;
@@ -58,6 +61,8 @@ Status ReadNodeIdVector(BinaryReader* reader, size_t num_records,
   return Status::OK();
 }
 
+/// One component's byte encoding: nodes, pairs, cleaned groups, cleanup
+/// counters.
 void WriteComponentState(const GroupStore::ComponentState& comp,
                          BinaryWriter* writer) {
   writer->WriteU64(comp.nodes.size());
@@ -75,6 +80,7 @@ void WriteComponentState(const GroupStore::ComponentState& comp,
   writer->WriteU64(comp.stats.betweenness_edges_removed);
 }
 
+/// Read WriteComponentState output; every id bounded by [0, num_records).
 Status ReadComponentState(BinaryReader* reader, size_t num_records,
                           GroupStore::ComponentState* comp) {
   GRALMATCH_RETURN_NOT_OK(ReadNodeIdVector(reader, num_records, &comp->nodes));
@@ -101,6 +107,8 @@ Status ReadComponentState(BinaryReader* reader, size_t num_records,
   comp->stats.betweenness_edges_removed = static_cast<size_t>(stat);
   return Status::OK();
 }
+
+}  // namespace
 
 void GroupStore::EnsureNumRecords(size_t num_records) {
   if (comp_of_node_.size() < num_records) {
@@ -356,37 +364,6 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records,
   }
   GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&next_comp_id_));
   return Validate(is_positive);
-}
-
-Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,
-                                   size_t num_records) {
-  EnsureNumRecords(num_records);
-  if (comp.nodes.empty()) {
-    return Status::IOError("corrupted checkpoint: empty component");
-  }
-  if (!std::is_sorted(comp.nodes.begin(), comp.nodes.end()) ||
-      std::adjacent_find(comp.nodes.begin(), comp.nodes.end()) !=
-          comp.nodes.end()) {
-    return Status::IOError(
-        "corrupted checkpoint: component node list is not sorted unique");
-  }
-  for (const NodeId node : comp.nodes) {
-    if (node < 0 || static_cast<size_t>(node) >= num_records) {
-      return Status::IOError("corrupted checkpoint: node id out of range");
-    }
-    if (comp_of_node_[static_cast<size_t>(node)] != -1) {
-      return Status::IOError(
-          "corrupted checkpoint: record claimed by two components");
-    }
-  }
-  if (comps_.count(cid)) {
-    return Status::IOError("corrupted checkpoint: duplicate component id");
-  }
-  for (const NodeId node : comp.nodes) {
-    comp_of_node_[static_cast<size_t>(node)] = cid;
-  }
-  comps_.emplace(cid, std::move(comp));
-  return Status::OK();
 }
 
 Status GroupStore::Validate(const IsPositiveFn& is_positive) const {

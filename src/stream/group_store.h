@@ -2,9 +2,9 @@
 #define GRALMATCH_STREAM_GROUP_STORE_H_
 
 /// \file group_store.h
-/// Incrementally maintained component/group state shared by the streaming
-/// and sharded pipelines: the connected components of the pristine
-/// (pre-cleanup) positive-edge graph, each with its cached cleanup outcome.
+/// Incrementally maintained component/group state of the streaming
+/// pipeline: the connected components of the pristine (pre-cleanup)
+/// positive-edge graph, each with its cached cleanup outcome.
 ///
 /// Apply() is the dirty-component cleanup step. Given the positive-edge
 /// transitions of one ingest (edges added / removed / provenance-changed),
@@ -15,12 +15,6 @@
 /// compact-remapped in sorted order and edges inserted in sorted pair order
 /// — exactly the edge-id order a from-scratch run on the union would assign
 /// — so every cleanup tie-break matches the batch pipeline.
-///
-/// The store is agnostic to where the positive edges come from: the
-/// single-pipeline caller feeds it one candidate set's transitions, the
-/// sharded pipeline feeds it the union-find merge of every shard's
-/// transitions (cross-shard edges union components that live on different
-/// shards, which is why the store is global, never per-shard).
 
 #include <cstdint>
 #include <functional>
@@ -44,10 +38,6 @@ void WriteRecordPairs(const std::vector<RecordPair>& pairs,
 /// Read a pair vector whose record ids must lie in [0, num_records).
 Status ReadRecordPairs(BinaryReader* reader, size_t num_records,
                        std::vector<RecordPair>* pairs);
-
-/// Read a node-id vector whose entries must lie in [0, num_records).
-Status ReadNodeIdVector(BinaryReader* reader, size_t num_records,
-                        std::vector<NodeId>* nodes);
 
 /// \brief Component/group state with dirty-component cleanup.
 class GroupStore {
@@ -110,48 +100,23 @@ class GroupStore {
   Status Load(BinaryReader* reader, size_t num_records,
               const IsPositiveFn& is_positive);
 
-  // -- Piecewise reconstruction (sharded manifest checkpoints) --------------
-
-  /// Insert one component under an explicit id, growing the membership map.
-  /// Rejects duplicate ids, empty/unsorted node lists and nodes already
-  /// owned by another component. Finish with SetNextComponentId + Validate.
-  Status InsertComponent(int32_t cid, ComponentState comp, size_t num_records);
-
-  void SetNextComponentId(int32_t next) { next_comp_id_ = next; }
-
-  /// Cross-field checks shared with Load: every component edge is a current
-  /// positive pair with both endpoints inside its component, and every
-  /// component id lies in [0, next_comp_id).
-  Status Validate(const IsPositiveFn& is_positive) const;
-
-  const std::unordered_map<int32_t, ComponentState>& components() const {
-    return comps_;
-  }
   const std::vector<int32_t>& comp_of_node() const { return comp_of_node_; }
-  int32_t next_comp_id() const { return next_comp_id_; }
 
  private:
   /// Re-run Pre Graph Cleanup + Algorithm 1 on one pristine component.
   void RebuildComponent(ComponentState* comp, const ProvenanceFn& prov_of,
                         const PipelineConfig& config, ThreadPool* pool);
 
+  /// Load's cross-field checks: every component edge is a current positive
+  /// pair with both endpoints inside its component, and every component id
+  /// lies in [0, next_comp_id).
+  Status Validate(const IsPositiveFn& is_positive) const;
+
   /// Component id per record (-1: singleton, not in any positive pair).
   std::vector<int32_t> comp_of_node_;
   std::unordered_map<int32_t, ComponentState> comps_;
   int32_t next_comp_id_ = 0;
 };
-
-/// Serialize one component's canonical byte encoding — nodes, pairs,
-/// cleaned groups, cleanup counters. The single definition shared by the
-/// whole-store serialization (GroupStore::Save) and the per-shard
-/// checkpoint slices (shard/shard_state.h), so the two formats can never
-/// drift field-by-field.
-void WriteComponentState(const GroupStore::ComponentState& comp,
-                         BinaryWriter* writer);
-
-/// Read WriteComponentState output; every id bounded by [0, num_records).
-Status ReadComponentState(BinaryReader* reader, size_t num_records,
-                          GroupStore::ComponentState* comp);
 
 }  // namespace gralmatch
 

@@ -162,14 +162,16 @@ IngestReport IncrementalPipeline::MutateImpl(
                 kBlockerTokenOverlap);
   }
 
+  // A pair with no provenance left is no candidate, including one that a
+  // single mutation both admitted and retracted (before == now == 0).
   std::vector<RecordPair> cand_added, cand_removed, prov_changed;
   for (const auto& [pair, before] : old_prov) {
     const uint32_t now = candidate_prov_.at(pair);
-    if (before == 0 && now != 0) {
-      cand_added.push_back(pair);
-    } else if (before != 0 && now == 0) {
-      cand_removed.push_back(pair);
+    if (now == 0) {
       candidate_prov_.erase(pair);
+      if (before != 0) cand_removed.push_back(pair);
+    } else if (before == 0) {
+      cand_added.push_back(pair);
     } else if (before != now) {
       prov_changed.push_back(pair);
     }

@@ -1,20 +1,21 @@
 // Schedule-equivalence differential suite for full CRUD streaming: after ANY
-// interleaved add/update/delete schedule, at any thread count and any shard
-// count, IncrementalPipeline::Snapshot() and ShardedPipeline::Snapshot()
-// must be identical — predicted pairs, pre-cleanup components, groups, and
-// all cleanup counters — to a from-scratch EntityGroupPipeline::Run on the
-// FINAL SURVIVING record set (survivors keep their original sparse ids; the
-// reference's compacted ids are remapped through the monotone survivor
-// list). Schedules cover: targeted removals, updates that change blocking
-// keys, delete-then-readd identity, delete-everything-then-rebuild, and
-// seeded fuzz schedules (>= 200 across both fixtures x 1/2/8 threads x
-// S in {1,2,4}). A counting matcher proves deletion never rescores
+// interleaved add/update/delete schedule, at any thread count,
+// IncrementalPipeline::Snapshot() must be identical — predicted pairs,
+// pre-cleanup components, groups, and all cleanup counters — to a
+// from-scratch EntityGroupPipeline::Run on the FINAL SURVIVING record set
+// (survivors keep their original sparse ids; the reference's compacted ids
+// are remapped through the monotone survivor list). Schedules cover:
+// targeted removals, updates that change blocking keys, delete-then-readd
+// identity, delete-everything-then-rebuild, and seeded fuzz schedules
+// (>= 200 across both fixtures x 1/2/8 threads), each ending in a
+// checkpoint round trip. A counting matcher proves deletion never rescores
 // unaffected pairs (every matcher call across a whole CRUD schedule is a
 // distinct pair), and checkpoint round-trips carry tombstones exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -23,16 +24,13 @@
 
 #include "blocking/id_overlap.h"
 #include "blocking/token_overlap.h"
-#include "common/binary_io.h"
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "datagen/financial_gen.h"
 #include "datagen/wdc_gen.h"
+#include "matching/baselines.h"
 #include "serve/checkpoint.h"
-#include "serve/framing.h"
 #include "serve/match_service.h"
-#include "serve/sharded_checkpoint.h"
-#include "shard/sharded_pipeline.h"
 #include "stream/incremental_pipeline.h"
 #include "text/normalize.h"
 
@@ -233,8 +231,7 @@ IncrementalPipelineConfig CrudConfig(size_t num_threads,
 
 /// One mutation round. Ids are concrete: the schedule generator simulates
 /// id assignment (contiguous, never recycled), so one schedule replays
-/// identically on an IncrementalPipeline and on a ShardedPipeline at any
-/// shard count.
+/// identically at any thread count.
 struct CrudOp {
   std::vector<Record> adds;
   std::vector<RecordId> removals;
@@ -326,12 +323,28 @@ CrudSchedule MakeSchedule(const std::vector<Record>& pool, uint64_t seed,
   return schedule;
 }
 
+/// Checkpoint `pipeline` through the single-file format and check the
+/// restored pipeline: same liveness, same snapshot, bitwise re-serialization.
+void ExpectCheckpointRoundTrip(const IncrementalPipeline& pipeline,
+                               const PairwiseMatcher& matcher,
+                               const std::string& context) {
+  const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+  Result<std::unique_ptr<IncrementalPipeline>> restored =
+      ParseCheckpoint(image, matcher);
+  ASSERT_TRUE(restored.ok()) << context << ": "
+                             << restored.status().message();
+  EXPECT_EQ((*restored)->alive(), pipeline.alive()) << context;
+  ExpectEquivalent((*restored)->Snapshot().ValueOrDie(),
+                   pipeline.Snapshot().ValueOrDie(), context + " (restored)");
+  EXPECT_EQ(SerializeCheckpoint(**restored).ValueOrDie(), image) << context;
+}
+
 /// Replay `schedule` (its rounds may mix adds, removals and updates; a
-/// round runs removals+adds first, then updates) and differential-check the
-/// final snapshot against the survivor reference. Works for both pipeline
-/// flavors — same API surface.
-template <typename Pipeline>
-void RunCrudSchedule(Pipeline* pipeline, const CrudSchedule& schedule,
+/// round runs removals+adds first, then updates), differential-check the
+/// final snapshot against the survivor reference, and round-trip the final
+/// state through a checkpoint.
+void RunCrudSchedule(IncrementalPipeline* pipeline,
+                     const CrudSchedule& schedule,
                      const IncrementalPipelineConfig& config,
                      const PairwiseMatcher& matcher, const std::string& context,
                      size_t check_every = 0) {
@@ -368,6 +381,7 @@ void RunCrudSchedule(Pipeline* pipeline, const CrudSchedule& schedule,
                    SurvivorReference(pipeline->records(), pipeline->alive(),
                                      config, matcher),
                    context + " (final)");
+  ExpectCheckpointRoundTrip(*pipeline, matcher, context);
 }
 
 std::vector<Record> FinancialPool(uint64_t seed, size_t num_groups) {
@@ -607,63 +621,6 @@ TEST_F(FinancialCrud, DeletionNeverRescoresUnaffectedPairs) {
   EXPECT_EQ(counting.calls(), counting.distinct_pairs());
 }
 
-TEST_F(FinancialCrud, ReportsIdenticalBetweenIncrementalAndSharded) {
-  // The sharded pipeline's reports must equal the single pipeline's on the
-  // same CRUD sequence, field for field — including the new removal and
-  // eviction counters.
-  JaccardMatcher matcher;
-  const CrudSchedule schedule = MakeSchedule(*records_, 404, 8);
-  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
-  IncrementalPipeline incremental(config);
-  ShardedPipelineConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.num_shards = 3;
-  sharded_config.router_seed = 11;
-  ShardedPipeline sharded(sharded_config);
-
-  auto expect_equal_reports = [](const IngestReport& a, const IngestReport& b,
-                                 const std::string& context) {
-    EXPECT_EQ(a.records_added, b.records_added) << context;
-    EXPECT_EQ(a.records_removed, b.records_removed) << context;
-    EXPECT_EQ(a.candidates_added, b.candidates_added) << context;
-    EXPECT_EQ(a.candidates_removed, b.candidates_removed) << context;
-    EXPECT_EQ(a.pairs_scored, b.pairs_scored) << context;
-    EXPECT_EQ(a.cache_hits, b.cache_hits) << context;
-    EXPECT_EQ(a.cache_evictions, b.cache_evictions) << context;
-    EXPECT_EQ(a.components_rebuilt, b.components_rebuilt) << context;
-    EXPECT_EQ(a.components_reused, b.components_reused) << context;
-  };
-
-  expect_equal_reports(incremental.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       sharded.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       "initial");
-  size_t evictions_total = 0;
-  for (size_t k = 0; k < schedule.ops.size(); ++k) {
-    const CrudOp& op = schedule.ops[k];
-    const std::string context = "op " + std::to_string(k);
-    if (!op.removals.empty()) {
-      IngestReport a = incremental.Remove(op.removals, matcher).ValueOrDie();
-      IngestReport b = sharded.Remove(op.removals, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " remove");
-      evictions_total += a.cache_evictions;
-    }
-    if (!op.adds.empty()) {
-      expect_equal_reports(incremental.Ingest(op.adds, matcher).ValueOrDie(),
-                           sharded.Ingest(op.adds, matcher).ValueOrDie(),
-                           context + " add");
-    }
-    if (!op.updates.empty()) {
-      IngestReport a = incremental.Update(op.updates, matcher).ValueOrDie();
-      IngestReport b = sharded.Update(op.updates, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " update");
-      evictions_total += a.cache_evictions;
-    }
-  }
-  EXPECT_GT(evictions_total, 0u);
-  ExpectEquivalent(sharded.Snapshot().ValueOrDie(),
-                   incremental.Snapshot().ValueOrDie(), "final snapshots");
-}
-
 TEST_F(FinancialCrud, InvalidRemovalsAreCleanErrorsWithoutPoisoning) {
   JaccardMatcher matcher;
   IncrementalPipelineConfig config = CrudConfig(1, 0.25);
@@ -701,17 +658,6 @@ TEST_F(FinancialCrud, InvalidRemovalsAreCleanErrorsWithoutPoisoning) {
   EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(pipeline.status().ok());
   EXPECT_TRUE(pipeline.is_alive(4));
-
-  // The sharded pipeline enforces the identical contract.
-  ShardedPipelineConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.num_shards = 2;
-  ShardedPipeline sharded(sharded_config);
-  ASSERT_TRUE(sharded.Ingest(*records_, matcher).ok());
-  Result<IngestReport> sharded_bad = sharded.Remove({n}, matcher);
-  ASSERT_FALSE(sharded_bad.ok());
-  EXPECT_EQ(sharded_bad.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(sharded.status().ok());
 }
 
 TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {
@@ -784,7 +730,7 @@ TEST_F(FinancialCrud, MatchServiceExcludesTombstonedRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded fuzz schedules: >= 200 across fixtures x threads x shard counts
+// Seeded fuzz schedules: >= 200 across fixtures x threads
 // ---------------------------------------------------------------------------
 
 void FuzzIncremental(const std::vector<Record>& pool, double threshold,
@@ -800,24 +746,6 @@ void FuzzIncremental(const std::vector<Record>& pool, double threshold,
   }
 }
 
-void FuzzSharded(const std::vector<Record>& pool, double threshold,
-                 size_t num_shards, size_t threads, uint64_t seed_base,
-                 size_t num_seeds) {
-  JaccardMatcher matcher;
-  for (uint64_t seed = 0; seed < num_seeds; ++seed) {
-    ShardedPipelineConfig config;
-    config.base = CrudConfig(threads, threshold);
-    config.num_shards = num_shards;
-    config.router_seed = seed_base + seed;
-    ShardedPipeline pipeline(config);
-    RunCrudSchedule(&pipeline, MakeSchedule(pool, seed_base + seed, 8),
-                    config.base, matcher,
-                    "sharded S=" + std::to_string(num_shards) +
-                        " threads=" + std::to_string(threads) +
-                        " seed=" + std::to_string(seed_base + seed));
-  }
-}
-
 TEST_F(FinancialCrud, FuzzIncrementalSchedules) {
   // 3 thread counts x 20 seeds = 60 schedules.
   for (size_t threads : {1u, 2u, 8u}) {
@@ -825,12 +753,10 @@ TEST_F(FinancialCrud, FuzzIncrementalSchedules) {
   }
 }
 
-TEST_F(FinancialCrud, FuzzShardedSchedules) {
-  // S in {1,2,4} x 3 thread counts x 7 seeds = 63 schedules.
-  for (size_t num_shards : {1u, 2u, 4u}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      FuzzSharded(*records_, 0.25, num_shards, threads, 2000, 7);
-    }
+TEST_F(FinancialCrud, FuzzIncrementalSchedulesFromSeed2000) {
+  // 3 thread counts x 21 seeds = 63 schedules.
+  for (size_t threads : {1u, 2u, 8u}) {
+    FuzzIncremental(*records_, 0.25, threads, 2000, 21);
   }
 }
 
@@ -860,12 +786,10 @@ TEST_F(WdcCrud, FuzzIncrementalSchedules) {
   }
 }
 
-TEST_F(WdcCrud, FuzzShardedSchedules) {
-  // S in {2,4} x 3 thread counts x 7 seeds = 42 schedules.
-  for (size_t num_shards : {2u, 4u}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      FuzzSharded(*records_, 0.35, num_shards, threads, 4000, 7);
-    }
+TEST_F(WdcCrud, FuzzIncrementalSchedulesFromSeed4000) {
+  // 3 thread counts x 14 seeds = 42 schedules.
+  for (size_t threads : {1u, 2u, 8u}) {
+    FuzzIncremental(*records_, 0.35, threads, 4000, 14);
   }
 }
 
@@ -881,13 +805,9 @@ TEST_F(WdcCrud, MidScheduleChecksStayEquivalent) {
   }
 }
 
-TEST_F(WdcCrud, ShardedCheckpointRoundTripCarriesTombstones) {
+TEST_F(WdcCrud, CheckpointRoundTripCarriesTombstones) {
   JaccardMatcher matcher;
-  ShardedPipelineConfig config;
-  config.base = CrudConfig(2, 0.35);
-  config.num_shards = 3;
-  config.router_seed = 5;
-  ShardedPipeline pipeline(config);
+  IncrementalPipeline pipeline(CrudConfig(2, 0.35));
   ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
   std::vector<RecordId> doomed;
   for (size_t i = 1; i < records_->size(); i += 4) {
@@ -895,25 +815,17 @@ TEST_F(WdcCrud, ShardedCheckpointRoundTripCarriesTombstones) {
   }
   ASSERT_TRUE(pipeline.Remove(doomed, matcher).ok());
 
-  const std::string dir =
-      ::testing::TempDir() + "/crud_sharded_ckpt_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  ASSERT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
-  // The manifest stamps version 2 once tombstones exist (byte offset 8).
-  const std::string manifest =
-      ReadWholeFile(ShardedManifestPath(dir)).ValueOrDie();
-  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(manifest[8])), 2u);
+  // The image stamps version 2 once tombstones exist (byte offset 8).
+  const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+  EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(image[8])), 2u);
 
-  auto restored = LoadShardedCheckpoint(dir, matcher).ValueOrDie();
+  auto restored = ParseCheckpoint(image, matcher).ValueOrDie();
   EXPECT_EQ(restored->num_dead(), doomed.size());
   EXPECT_EQ(restored->alive(), pipeline.alive());
   ExpectEquivalent(restored->Snapshot().ValueOrDie(),
-                   pipeline.Snapshot().ValueOrDie(), "restored sharded");
-
-  // Re-saving the restored pipeline reproduces every file byte for byte.
-  const std::string dir2 = dir + "_resave";
-  ASSERT_TRUE(SaveShardedCheckpoint(*restored, dir2).ok());
-  EXPECT_EQ(ReadWholeFile(ShardedManifestPath(dir2)).ValueOrDie(), manifest);
+                   pipeline.Snapshot().ValueOrDie(), "restored");
+  // Re-serializing the restored pipeline reproduces the image bitwise.
+  EXPECT_EQ(SerializeCheckpoint(*restored).ValueOrDie(), image);
 
   // And keeps mutating identically.
   std::vector<RecordUpdate> update(1);
@@ -922,8 +834,60 @@ TEST_F(WdcCrud, ShardedCheckpointRoundTripCarriesTombstones) {
   ASSERT_TRUE(pipeline.Update(update, matcher).ok());
   ASSERT_TRUE(restored->Update(update, matcher).ok());
   ExpectEquivalent(restored->Snapshot().ValueOrDie(),
-                   pipeline.Snapshot().ValueOrDie(),
-                   "restored sharded after update");
+                   pipeline.Snapshot().ValueOrDie(), "restored after update");
+}
+
+// ---------------------------------------------------------------------------
+// Regression: one mutation that both admits and retracts a candidate pair
+// ---------------------------------------------------------------------------
+
+TEST(CrudCheckpointRegression, ChurnedSecuritiesCheckpointLoads) {
+  // One Update can add a candidate pair through one blocker's delta and
+  // retract it through another's, leaving it with provenance 0. Such a
+  // pair is no candidate: it must leave the candidate set, or the saved
+  // image fails ParseCheckpoint's provenance check. A 5% Update step on
+  // the 1 000-group, seed-7 securities fixture produces such pairs.
+  SyntheticConfig fixture;
+  fixture.seed = 7;
+  fixture.num_groups = 1000;
+  const RecordTable table =
+      FinancialGenerator(fixture).Generate().securities.records;
+  std::vector<Record> records;
+  records.reserve(table.size());
+  for (size_t i = 0; i < table.size(); ++i) {
+    records.push_back(table.at(static_cast<RecordId>(i)));
+  }
+
+  IncrementalPipelineConfig config;
+  config.pipeline.cleanup.gamma = 25;
+  config.pipeline.cleanup.mu = 5;
+  config.pipeline.pre_cleanup_threshold = 50;
+  config.token.top_n = 5;
+  HeuristicIdMatcher matcher;
+  IncrementalPipeline pipeline(config);
+  ASSERT_TRUE(pipeline.Ingest(records, matcher).ok());
+
+  // Draw 2 x 5% of the live ids; the second half is replaced by seeded
+  // fixture records.
+  Rng rng(7);
+  std::vector<RecordId> live;
+  for (size_t i = 0; i < records.size(); ++i) {
+    live.push_back(static_cast<RecordId>(i));
+  }
+  const size_t churn = live.size() / 20 + 1;
+  for (size_t k = 0; k < 2 * churn; ++k) {
+    const size_t j = k + static_cast<size_t>(rng.Uniform(live.size() - k));
+    std::swap(live[k], live[j]);
+  }
+  std::vector<RecordUpdate> updates;
+  for (size_t k = churn; k < 2 * churn; ++k) {
+    RecordUpdate update;
+    update.id = live[k];
+    update.record = records[static_cast<size_t>(rng.Uniform(records.size()))];
+    updates.push_back(std::move(update));
+  }
+  ASSERT_TRUE(pipeline.Update(updates, matcher).ok());
+  ExpectCheckpointRoundTrip(pipeline, matcher, "churned securities");
 }
 
 }  // namespace

@@ -14,10 +14,10 @@
 // state byte-identical outside the two trailing cumulative wall-clock
 // doubles (which differ between any two runs, instrumented or not) to an
 // uninstrumented run of the same schedule, on both the
-// financial-securities and WDC-products fixtures, across thread counts
-// and shard counts. A pipeline restored from a checkpoint
-// must come back uninstrumented (the registry pointer never enters
-// checkpoint bytes) until explicitly re-wired with set_metrics().
+// financial-securities and WDC-products fixtures, across thread counts.
+// A pipeline restored from a checkpoint must come back uninstrumented (the
+// registry pointer never enters checkpoint bytes) until explicitly
+// re-wired with set_metrics().
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,6 @@
 #include "matching/matcher.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
-#include "shard/sharded_pipeline.h"
 #include "stream/incremental_pipeline.h"
 #include "text/normalize.h"
 
@@ -260,7 +259,7 @@ TEST(ObsRegistryTest, ConcurrentWritersAndScrapersAreRaceFree) {
 // Inertness differential: instrumented == uninstrumented, bitwise
 // ---------------------------------------------------------------------------
 
-/// Deterministic token-Jaccard matcher (as in stream/shard tests) so both
+/// Deterministic token-Jaccard matcher (as in the stream tests) so both
 /// fixtures score meaningfully.
 class JaccardMatcher : public PairwiseMatcher {
  public:
@@ -343,18 +342,6 @@ void IngestInBatches(IncrementalPipeline* pipeline,
   }
 }
 
-void IngestInBatches(ShardedPipeline* pipeline,
-                     const std::vector<Record>& records,
-                     const PairwiseMatcher& matcher) {
-  const size_t batch_size = (records.size() + 2) / 3;
-  for (size_t begin = 0; begin < records.size(); begin += batch_size) {
-    const size_t end = std::min(begin + batch_size, records.size());
-    std::vector<Record> batch(records.begin() + static_cast<long>(begin),
-                              records.begin() + static_cast<long>(end));
-    ASSERT_TRUE(pipeline->Ingest(batch, matcher).ok());
-  }
-}
-
 void ExpectSameSnapshot(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.predicted_pairs, b.predicted_pairs);
   EXPECT_EQ(a.groups, b.groups);
@@ -362,24 +349,15 @@ void ExpectSameSnapshot(const PipelineResult& a, const PipelineResult& b) {
 }
 
 /// Byte size of the cumulative wall-clock totals (two doubles: scoring and
-/// cleanup seconds) that close both the incremental body and the sharded
-/// manifest body. They are run-dependent even between two uninstrumented
-/// runs of the same schedule, so the differential excises exactly them;
-/// everything before must be bitwise-identical.
+/// cleanup seconds) that close the incremental body. They are run-dependent
+/// even between two uninstrumented runs of the same schedule, so the
+/// differential excises exactly them; everything before must be
+/// bitwise-identical.
 constexpr size_t kWallClockTrailerBytes = 2 * sizeof(double);
 
 std::string DeterministicBody(const IncrementalPipeline& pipeline) {
   BinaryWriter writer;
   EXPECT_TRUE(pipeline.Serialize(&writer).ok());
-  std::string body = writer.buffer();
-  EXPECT_GE(body.size(), kWallClockTrailerBytes);
-  body.resize(body.size() - kWallClockTrailerBytes);
-  return body;
-}
-
-std::string DeterministicManifest(const ShardedPipeline& pipeline) {
-  BinaryWriter writer;
-  EXPECT_TRUE(pipeline.SerializeManifestBody(&writer).ok());
   std::string body = writer.buffer();
   EXPECT_GE(body.size(), kWallClockTrailerBytes);
   body.resize(body.size() - kWallClockTrailerBytes);
@@ -414,47 +392,6 @@ TEST(ObsInertnessTest, InstrumentedIncrementalRunIsBitwiseIdentical) {
       ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
                          off.Snapshot().ValueOrDie());
       EXPECT_EQ(DeterministicBody(on), DeterministicBody(off));
-    }
-  }
-}
-
-TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
-  JaccardMatcher matcher;
-  for (const auto& records : {FinancialRecords(), WdcRecords()}) {
-    for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      SCOPED_TRACE("records=" + std::to_string(records.size()) +
-                   " shards=" + std::to_string(num_shards));
-      ShardedPipelineConfig off_config;
-      off_config.base = StreamConfig(2);
-      off_config.num_shards = num_shards;
-      off_config.router_seed = 17;
-      ShardedPipeline off(off_config);
-      IngestInBatches(&off, records, matcher);
-
-      MetricsRegistry registry;
-      ShardedPipelineConfig on_config = off_config;
-      on_config.base.pipeline.metrics = &registry;
-      ShardedPipeline on(on_config);
-      IngestInBatches(&on, records, matcher);
-
-      EXPECT_EQ(registry.GetCounter("pipeline_mutations_total")->Value(), 3u);
-      EXPECT_GT(registry.GetHistogram("shard_route_seconds")->TotalCount(),
-                0u);
-      EXPECT_GT(registry.GetHistogram("shard_exchange_seconds")->TotalCount(),
-                0u);
-      ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
-                         off.Snapshot().ValueOrDie());
-
-      EXPECT_EQ(DeterministicManifest(on), DeterministicManifest(off));
-      // Shard bodies carry no wall-clock state at all: full bitwise.
-      std::vector<BinaryWriter> on_shards, off_shards;
-      ASSERT_TRUE(on.SerializeShardBodies(&on_shards).ok());
-      ASSERT_TRUE(off.SerializeShardBodies(&off_shards).ok());
-      ASSERT_EQ(on_shards.size(), off_shards.size());
-      for (size_t s = 0; s < on_shards.size(); ++s) {
-        EXPECT_EQ(on_shards[s].buffer(), off_shards[s].buffer())
-            << "shard " << s;
-      }
     }
   }
 }

@@ -833,11 +833,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
 
 // ---------------------------------------------------------------------------
-// Union-find merge semantics. The sharded pipeline's cross-shard merge
-// (stream/group_store.h) unions per-shard positive edges into global
-// components; these properties — idempotent unions, representative
-// stability under interleaved finds, agreement with a reference partition —
-// are exactly what that merge step relies on.
+// Union-find merge semantics. GroupStore::Apply (stream/group_store.h)
+// unions the dirty region's positive edges into the new components; these
+// properties — idempotent unions, representative stability under
+// interleaved finds, agreement with a reference partition — are exactly
+// what that merge step relies on.
 // ---------------------------------------------------------------------------
 
 class UnionFindPropertyTest : public ::testing::TestWithParam<uint64_t> {};

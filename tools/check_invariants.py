@@ -11,7 +11,7 @@ beyond python3. Exit status: 0 clean, 1 findings, 2 usage error.
 Rules (each finding is printed as `file:line: [rule] message`):
 
   framed-bytes     Wire/checkpoint byte access in the framed modules
-                   (serve, net, shard, stream) goes through BinaryReader /
+                   (serve, net, stream) goes through BinaryReader /
                    BinaryWriter / serve/framing.h helpers — no raw memcpy
                    or reinterpret_cast on framed bytes. Socket-ABI sockaddr
                    casts are exempt (they are kernel ABI, not framed
@@ -20,10 +20,10 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    docs/static-analysis.md.
 
   tmp-staging      No naked ".tmp" staging paths: only WriteFileAtomically
-                   (src/serve/framing.cc) may construct staging names, and
-                   only the sharded-checkpoint GC may *recognize* them.
-                   Anything else re-introduces the torn-staging race that
-                   WriteFileAtomically exists to prevent.
+                   (src/serve/framing.cc) may construct or recognize
+                   staging names. Anything else re-introduces the
+                   torn-staging race that WriteFileAtomically exists to
+                   prevent.
 
   test-registration  Every tests/*_test.cc suite is registered via
                    gralmatch_add_test in tests/CMakeLists.txt (otherwise it
@@ -77,14 +77,12 @@ except ImportError:  # invoked as tools/check_invariants.py from repo root
 
 #: Modules whose on-disk/on-wire formats are framed (magic/version/length/
 #: checksum); raw byte reinterpretation is banned here.
-FRAMED_MODULES = ("serve", "net", "shard", "stream")
+FRAMED_MODULES = ("serve", "net", "stream")
 
-#: The one file allowed to build ".tmp" staging names, and the one file
-#: allowed to recognize them (stale-staging GC) — with the reason on record.
+#: The one file allowed to build or recognize ".tmp" staging names — with
+#: the reason on record.
 TMP_ALLOWLIST = {
     "src/serve/framing.cc": "WriteFileAtomically owns staging-name construction",
-    "src/serve/sharded_checkpoint.cc":
-        "checkpoint GC must recognize stale staging files to delete them",
 }
 
 #: Direct module dependency edges, exactly the target_link_libraries edges
@@ -106,9 +104,7 @@ MODULE_DEPS = {
     "core": ("blocking", "data", "exec", "graph", "matching", "obs"),
     "stream": ("blocking", "common", "core", "data", "exec", "graph",
                "matching", "obs"),
-    "shard": ("blocking", "common", "core", "data", "exec", "graph",
-              "matching", "obs", "stream"),
-    "serve": ("common", "core", "data", "matching", "obs", "shard", "stream"),
+    "serve": ("common", "core", "data", "matching", "obs", "stream"),
     "net": ("common", "exec", "obs", "serve"),
 }
 
@@ -116,8 +112,7 @@ MODULE_DEPS = {
 #: stay observability-free: docs/observability.md promises instrumentation
 #: is inert (never in checkpoint or wire bytes), and the cheapest proof is
 #: that the code producing those bytes cannot even name the obs module.
-#: Timing for these paths lives at call sites (e.g. the sharded-checkpoint
-#: helpers, examples/serve_loop.cpp).
+#: Timing for these paths lives at call sites (e.g. examples/serve_loop.cpp).
 OBS_FREE_FILES = {
     "src/serve/checkpoint.h": "single-file checkpoint bytes",
     "src/serve/checkpoint.cc": "single-file checkpoint bytes",

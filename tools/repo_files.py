@@ -10,8 +10,7 @@ import pathlib
 #: src/ modules, as built by gralmatch_add_module (src/CMakeLists.txt).
 MODULES = (
     "blocking", "common", "core", "data", "datagen", "eval", "exec",
-    "graph", "matching", "net", "nn", "obs", "serve", "shard", "stream",
-    "text",
+    "graph", "matching", "net", "nn", "obs", "serve", "stream", "text",
 )
 
 
